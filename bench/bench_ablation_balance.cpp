@@ -10,8 +10,9 @@
 
 #include <cmath>
 
-#include "analysis/experiments.h"
+#include "analysis/session.h"
 #include "bench/bench_util.h"
+#include "pipeline/runner.h"
 
 using namespace sigcomp;
 using namespace sigcomp::pipeline;
@@ -98,8 +99,10 @@ main()
                   "balanced widths 3/2/2/1)");
 
     // Part 1: stall attribution of the byte-serial design.
-    const auto rows = analysis::runCpiStudy({Design::ByteSerial},
-                                            analysis::suiteConfig());
+    analysis::Session session;
+    analysis::StudyPlan serial_plan;
+    serial_plan.cpi({Design::ByteSerial}, analysis::suiteConfig());
+    const auto rows = session.run(serial_plan).cpi.front().rows();
     Count control = 0, hazard = 0, structural = 0, imiss = 0, dmiss = 0;
     for (const auto &row : rows) {
         const StallBreakdown &st = row.stalls.at(Design::ByteSerial);
@@ -142,8 +145,9 @@ main()
                      "geomean CPI", "vs baseline %"});
 
     // Baseline for reference.
-    const auto base_rows = analysis::runCpiStudy(
-        {Design::Baseline32}, analysis::suiteConfig());
+    analysis::StudyPlan base_plan;
+    base_plan.cpi({Design::Baseline32}, analysis::suiteConfig());
+    const auto base_rows = session.run(base_plan).cpi.front().rows();
     const double base = analysis::meanCpi(base_rows,
                                           Design::Baseline32);
 

@@ -11,7 +11,7 @@
 
 #include <cmath>
 
-#include "analysis/experiments.h"
+#include "analysis/session.h"
 #include "bench/bench_util.h"
 #include "pipeline/runner.h"
 

@@ -15,7 +15,7 @@
 
 #include <cmath>
 
-#include "analysis/experiments.h"
+#include "analysis/session.h"
 #include "bench/bench_util.h"
 #include "pipeline/runner.h"
 #include "power/energy_model.h"

@@ -8,7 +8,7 @@
 
 #include <cmath>
 
-#include "analysis/experiments.h"
+#include "analysis/session.h"
 #include "analysis/profilers.h"
 #include "bench/bench_util.h"
 #include "pipeline/runner.h"
@@ -44,6 +44,7 @@ class StorageProfiler : public cpu::TraceSink
     }
 
     const EncStats &stats() const { return stats_; }
+    sig::Encoding encoding() const { return enc_; }
 
   private:
     void
@@ -70,13 +71,19 @@ main()
                   "6% overhead, fewer patterns; 3-bit: 9% overhead, "
                   "+6% operands compressed)");
 
+    // All three encodings' storage profiles off one suite pass.
+    StorageProfiler ext2(sig::Encoding::Ext2);
+    StorageProfiler ext3(sig::Encoding::Ext3);
+    StorageProfiler half1(sig::Encoding::Half1);
+    analysis::StudyPlan plan;
+    plan.profile({&ext2, &ext3, &half1});
+    analysis::Session().run(plan);
+
     TextTable t({"encoding", "ext bits", "mean data bits/word",
                  "mean stored bits/word", "compression %"});
-    for (sig::Encoding enc : {sig::Encoding::Ext2, sig::Encoding::Ext3,
-                              sig::Encoding::Half1}) {
-        StorageProfiler prof(enc);
-        analysis::profileSuite({&prof});
-        const EncStats &s = prof.stats();
+    for (const StorageProfiler *prof : {&ext2, &ext3, &half1}) {
+        const sig::Encoding enc = prof->encoding();
+        const EncStats &s = prof->stats();
         const double data =
             static_cast<double>(s.dataBits) / s.operands;
         const double stored =

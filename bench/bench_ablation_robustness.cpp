@@ -8,7 +8,7 @@
  * conclusions should transfer.
  */
 
-#include "analysis/experiments.h"
+#include "analysis/session.h"
 #include "bench/bench_util.h"
 #include "pipeline/runner.h"
 
@@ -24,16 +24,16 @@ main()
 
     TextTable t({"benchmark", "design", "CPI", "uplift %",
                  "RFread save %", "ALU save %", "latch save %"});
+    analysis::Session session;
     for (const std::string &name : workloads::Suite::extraNames()) {
-        // Held-out kernels go through the TraceCache too: one
+        // Held-out kernels go through the session's cache too: one
         // capture, all seven designs replayed from the shared trace,
         // evicted right after (each is replayed exactly once, so
         // peak memory stays at one held-out trace).
-        const analysis::TraceCache::TracePtr trace =
-            analysis::TraceCache::global().get(name);
+        const analysis::TraceCache::TracePtr trace = session.trace(name);
         const auto results =
             replayDesigns(*trace, allDesigns(), analysis::suiteConfig());
-        analysis::TraceCache::global().evict(name);
+        session.cache().evict(name);
         const double base = results[0].cpi();
         for (const auto &r : results) {
             t.beginRow()

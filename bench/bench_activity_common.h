@@ -1,16 +1,29 @@
 /**
  * @file
- * Shared row renderer for the Table 5/6 activity-reduction tables.
+ * Shared study runner and row renderer for the Table 5/6
+ * activity-reduction tables.
  */
 
 #ifndef SIGCOMP_BENCH_BENCH_ACTIVITY_COMMON_H_
 #define SIGCOMP_BENCH_BENCH_ACTIVITY_COMMON_H_
 
-#include "analysis/experiments.h"
+#include <utility>
+#include <vector>
+
+#include "analysis/session.h"
 #include "bench/bench_util.h"
 
 namespace sigcomp::bench
 {
+
+/** The suite's activity study at @p enc, on a fresh Session. */
+inline std::vector<analysis::ActivityRow>
+activityStudy(sig::Encoding enc)
+{
+    analysis::StudyPlan plan;
+    plan.activity(enc);
+    return std::move(analysis::Session().run(plan).activity.front().rows);
+}
 
 /** Render an activity study as a paper-style Table 5/6. */
 inline TextTable

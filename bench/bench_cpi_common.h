@@ -7,7 +7,7 @@
 #ifndef SIGCOMP_BENCH_BENCH_CPI_COMMON_H_
 #define SIGCOMP_BENCH_BENCH_CPI_COMMON_H_
 
-#include "analysis/experiments.h"
+#include "analysis/session.h"
 #include "bench/bench_util.h"
 
 namespace sigcomp::bench
@@ -18,8 +18,9 @@ inline void
 cpiFigure(const std::vector<pipeline::Design> &designs)
 {
     using pipeline::Design;
-    const auto rows =
-        analysis::runCpiStudy(designs, analysis::suiteConfig());
+    analysis::StudyPlan plan;
+    plan.cpi(designs, analysis::suiteConfig());
+    const auto rows = analysis::Session().run(plan).cpi.front().rows();
 
     std::vector<std::string> headers = {"benchmark"};
     for (pipeline::Design d : designs)

@@ -6,7 +6,7 @@
  * check.
  */
 
-#include "analysis/experiments.h"
+#include "analysis/session.h"
 #include "bench/bench_util.h"
 #include "pipeline/runner.h"
 #include "power/energy_model.h"

@@ -2,8 +2,8 @@
  * @file
  * Suite-level performance baseline for the trace capture/replay
  * engine and its persistent store tier: times capture vs cached
- * replay vs store replay and the full multi-study driver against the
- * pre-cache (re-simulate-per-study) engine, and writes
+ * replay vs store replay and the full multi-study run against the
+ * pre-cache (re-simulate-per-study) reference, and writes
  * BENCH_suite.json so the perf trajectory is tracked across PRs
  * (schema documented in README "Benchmarking the engine").
  *
@@ -47,7 +47,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/experiments.h"
 #include "analysis/profilers.h"
 #include "analysis/session.h"
 #include "analysis/trace_cache.h"
@@ -60,13 +59,16 @@
 #include "sigcomp/sig_kernels.h"
 #include "store/codec.h"
 #include "store/trace_store.h"
+#include "tests/reference_studies.h"
 #include "workloads/workload.h"
 
 namespace
 {
 
 using namespace sigcomp;
-using analysis::StudyOptions;
+using analysis::Session;
+using analysis::SessionConfig;
+using analysis::StudyPlan;
 using analysis::TraceCache;
 using pipeline::Design;
 
@@ -117,13 +119,13 @@ struct Run
     }
 };
 
-/** Total instructions currently cached (one full suite pass). */
+/** Total instructions of one full suite pass on @p session. */
 DWord
-cachedSuiteInstructions()
+cachedSuiteInstructions(Session &session)
 {
     DWord total = 0;
     for (const std::string &name : workloads::Suite::names())
-        total += TraceCache::global().get(name)->runResult().instructions;
+        total += session.trace(name)->runResult().instructions;
     return total;
 }
 
@@ -243,32 +245,50 @@ measureKernels()
     return out;
 }
 
-/**
- * The acceptance driver: CPI study over the paper's full design
- * space + activity study + profiling pass, in one process. The CPI
- * study runs first so its shared-quanta record is already on the
- * traces when the activity study replays (later studies ride
- * earlier studies' records).
- */
+/** The three characterisation profilers as one plan on @p session. */
 void
-runMultiStudy(const StudyOptions &opt)
+runProfilers(Session &session, unsigned threads)
 {
-    (void)analysis::runCpiStudy(pipeline::allDesigns(),
-                                analysis::suiteConfig(), opt);
-    (void)analysis::runActivityStudy(sig::Encoding::Ext3, opt);
     analysis::PatternProfiler pat;
     analysis::InstrMixProfiler mix;
     analysis::PcProfiler pc;
-    analysis::profileSuite({&pat, &mix, &pc}, opt);
+    StudyPlan plan;
+    plan.profile({&pat, &mix, &pc}).threads(threads);
+    (void)session.run(plan);
 }
 
+/**
+ * The acceptance workload run sequentially: CPI study over the
+ * paper's full design space, then activity study, then profiling
+ * pass, as three one-study plans on one Session. The CPI study runs
+ * first so its shared-quanta record is already on the traces when
+ * the activity study replays (later studies ride earlier studies'
+ * records).
+ */
 void
-runProfilers(const StudyOptions &opt)
+runMultiStudy(Session &session, unsigned threads)
 {
+    StudyPlan cpi;
+    cpi.cpi(pipeline::allDesigns(), analysis::suiteConfig())
+        .threads(threads);
+    (void)session.run(cpi);
+    StudyPlan activity;
+    activity.activity(sig::Encoding::Ext3).threads(threads);
+    (void)session.run(activity);
+    runProfilers(session, threads);
+}
+
+/** The same three studies on the uncached reference engine. */
+void
+runMultiStudyReference(ParallelExecutor &exec)
+{
+    (void)reference::cpiStudy(pipeline::allDesigns(),
+                              analysis::suiteConfig(), exec);
+    (void)reference::activityStudy(sig::Encoding::Ext3, exec);
     analysis::PatternProfiler pat;
     analysis::InstrMixProfiler mix;
     analysis::PcProfiler pc;
-    analysis::profileSuite({&pat, &mix, &pc}, opt);
+    reference::profileSuite({&pat, &mix, &pc}, exec);
 }
 
 /** One thread-count's worth of phases. */
@@ -276,7 +296,11 @@ Run
 runAtThreads(unsigned threads, DWord max_instrs,
              const std::string &store_dir)
 {
-    TraceCache &cache = TraceCache::global();
+    SessionConfig config;
+    if (max_instrs != 0)
+        config.captureLimit = max_instrs;
+    Session session(config);
+    TraceCache &cache = session.cache();
     const std::vector<std::string> &names = workloads::Suite::names();
     ParallelExecutor exec(threads == 0 ? 0 : threads);
 
@@ -292,7 +316,7 @@ runAtThreads(unsigned threads, DWord max_instrs,
     Phase capture = timePhase(
         "capture", 0, kReps, [&] { cache.clear(); },
         [&] { cache.prewarm(names, exec); });
-    const DWord suite_instrs = cachedSuiteInstructions();
+    const DWord suite_instrs = cachedSuiteInstructions(session);
     capture.instructions = suite_instrs;
     run.phases.push_back(capture);
 
@@ -300,14 +324,14 @@ runAtThreads(unsigned threads, DWord max_instrs,
     // through the three characterisation profilers, no simulation.
     run.phases.push_back(timePhase(
         "cached_replay_profilers", suite_instrs, kReps, [] {},
-        [&] { runProfilers(StudyOptions{.threads = threads}); }));
+        [&] { runProfilers(session, threads); }));
 
     // Phase 3: recapture — what the same profiling pass costs when
     // the trace has to be captured again (cache cold).
     run.phases.push_back(timePhase(
         "recapture_profilers", suite_instrs, kReps,
         [&] { cache.clear(); },
-        [&] { runProfilers(StudyOptions{.threads = threads}); }));
+        [&] { runProfilers(session, threads); }));
 
     // Phases 4/5: the persistent store tier. Cold store = capture
     // plus significance-compressed write-through; warm store = a
@@ -315,51 +339,42 @@ runAtThreads(unsigned threads, DWord max_instrs,
     // trace streamed back off disk, zero functional simulation).
     if (!store_dir.empty()) {
         run.hasStore = true;
-        StudyOptions store_opt;
-        store_opt.threads = threads;
-        store_opt.storeDir = store_dir;
+        SessionConfig store_config = config;
+        store_config.storeDir = store_dir;
+        Session store_session(store_config);
 
         run.phases.push_back(timePhase(
             "store_cold_capture_save", suite_instrs, kReps,
             [&] {
-                cache.clear();
+                store_session.cache().clear();
                 const store::TraceStore ts(store_dir);
                 for (const std::string &name : ts.list())
                     ts.remove(name);
             },
-            [&] { runProfilers(store_opt); }));
+            [&] { runProfilers(store_session, threads); }));
 
         run.phases.push_back(timePhase(
             "store_warm_load_replay", suite_instrs, kReps,
-            [&] { cache.clear(); },
-            [&] { runProfilers(store_opt); }));
-
-        // Detach so later phases/records measure the RAM-only tiers.
-        cache.configureStore({});
+            [&] { store_session.cache().clear(); },
+            [&] { runProfilers(store_session, threads); }));
     }
 
-    // Phases 6/7: the acceptance driver — activity study + CPI study
-    // + profiling pass in one process, pre-cache engine (re-simulate
-    // per study) vs trace-cache engine (capture once, replay). Both
-    // start from a cold cache every repetition. Needs full traces:
-    // skipped in capped smoke runs.
+    // Phases 6/7: the acceptance workload — activity study + CPI
+    // study + profiling pass in one process, uncached reference
+    // engine (re-simulate per study) vs trace-cache engine (capture
+    // once, replay). Both start from a cold cache every repetition.
+    // Needs full traces: skipped in capped smoke runs.
     if (max_instrs == 0) {
         constexpr int kStudyReps = 5;
         const Phase precache = timePhase(
             "multi_study_precache", 3 * suite_instrs, kStudyReps, [] {},
-            [&] {
-                runMultiStudy(
-                    StudyOptions{.threads = threads, .useCache = false});
-            });
+            [&] { runMultiStudyReference(exec); });
         run.phases.push_back(precache);
 
         const Phase cached = timePhase(
             "multi_study_cached", suite_instrs, kStudyReps,
             [&] { cache.clear(); },
-            [&] {
-                runMultiStudy(
-                    StudyOptions{.threads = threads, .useCache = true});
-            });
+            [&] { runMultiStudy(session, threads); });
         run.phases.push_back(cached);
 
         run.multiSpeedup = precache.wallMs / cached.wallMs;
@@ -369,9 +384,9 @@ runAtThreads(unsigned threads, DWord max_instrs,
                     run.multiSpeedup);
     }
 
-    // Phases 8/9: the tentpole comparison — the same three studies
+    // Phases 8/9: the fused-plan comparison — the same three studies
     // (full-design-space CPI + activity + three-profiler pass) run
-    // sequentially through the legacy drivers vs fused through one
+    // sequentially as three one-study plans vs fused into one
     // Session::run(StudyPlan), both over a prewarmed cache. The
     // fused plan touches each trace once; sequential sweeps it once
     // per study. Works on capped traces (both sides are cache-fed),
@@ -381,9 +396,7 @@ runAtThreads(unsigned threads, DWord max_instrs,
             cache.clear();
             cache.prewarm(names, exec);
         };
-        auto run_sequential = [&] {
-            runMultiStudy(StudyOptions{.threads = threads});
-        };
+        auto run_sequential = [&] { runMultiStudy(session, threads); };
         auto run_fused = [&] {
             analysis::PatternProfiler pat;
             analysis::InstrMixProfiler mix;
@@ -393,7 +406,7 @@ runAtThreads(unsigned threads, DWord max_instrs,
                 .activity(sig::Encoding::Ext3)
                 .profile({&pat, &mix, &pc})
                 .threads(threads);
-            (void)analysis::Session::defaultSession().run(plan);
+            (void)session.run(plan);
         };
         // Interleaved repetitions (seq, fused, seq, fused, ...), min
         // of each: a host-noise burst then degrades both sides
@@ -428,7 +441,7 @@ runAtThreads(unsigned threads, DWord max_instrs,
         run.fusedSpeedup = seq.wallMs / fused.wallMs;
         // Evaluated (and emitted, and gated) at threads=1 only: a
         // fused plan with shared profiler sinks replays serially by
-        // design, while the sequential drivers fan their pipeline
+        // design, while the sequential plans fan their pipeline
         // studies across cores, so the comparison means nothing at
         // higher thread counts. The 5% margin absorbs shared-host
         // noise (the sequential path rides cross-study result
@@ -464,11 +477,11 @@ runAtThreads(unsigned threads, DWord max_instrs,
         for (int r = 0; r < 5; ++r) {
             telemetry::setEnabled(true);
             double t0 = nowSeconds();
-            runProfilers(StudyOptions{.threads = threads});
+            runProfilers(session, threads);
             on.wallMs = std::min(on.wallMs, (nowSeconds() - t0) * 1e3);
             telemetry::setEnabled(false);
             t0 = nowSeconds();
-            runProfilers(StudyOptions{.threads = threads});
+            runProfilers(session, threads);
             off.wallMs = std::min(off.wallMs, (nowSeconds() - t0) * 1e3);
         }
         telemetry::setEnabled(was_enabled);
@@ -684,15 +697,6 @@ main(int argc, char **argv)
                     k.scalarMwords > 0.0 ? k.simdMwords / k.scalarMwords
                                          : 0.0);
     }
-
-    TraceCache &cache = TraceCache::global();
-    if (max_instrs != 0)
-        cache.setCaptureLimit(max_instrs);
-
-    // Build the suite-profiled compressor up front from throwaway
-    // captures so no phase below times its one-off construction.
-    analysis::suiteCompressor();
-    cache.clear();
 
     std::vector<Run> runs;
     for (const unsigned threads : thread_list)

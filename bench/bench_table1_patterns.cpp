@@ -5,7 +5,7 @@
  * paper uses to argue the 2-bit/3-bit trade-off.
  */
 
-#include "analysis/experiments.h"
+#include "analysis/session.h"
 #include "analysis/profilers.h"
 #include "bench/bench_util.h"
 
@@ -20,7 +20,9 @@ main()
                   "(paper: eees~61%, top-4 ~94%)");
 
     PatternProfiler pat;
-    profileSuite({&pat});
+    StudyPlan plan;
+    plan.profile({&pat});
+    Session().run(plan);
 
     TextTable t({"pattern", "freq %", "cumulative %", "ext2-encodable"});
     double cum = 0.0;

@@ -6,7 +6,7 @@
  * stream.
  */
 
-#include "analysis/experiments.h"
+#include "analysis/session.h"
 #include "analysis/profilers.h"
 #include "bench/bench_util.h"
 #include "sigcomp/pc_increment.h"
@@ -23,7 +23,9 @@ main()
                   "b/(1-2^-b), 1/(1-2^-b))");
 
     PcProfiler pc;
-    profileSuite({&pc});
+    StudyPlan plan;
+    plan.profile({&pc});
+    Session().run(plan);
 
     TextTable t({"block bits", "analytic bits", "analytic cycles",
                  "measured bits", "measured cycles"});

@@ -4,11 +4,10 @@
  * types, the aggregate SuiteReport, and its uniform JSON
  * serialization.
  *
- * The row types (ActivityRow, CpiRow) predate the Session API: they
- * are the currency of the legacy free-function drivers in
- * analysis/experiments.h, kept here so the fused and legacy paths
- * return the same shapes and the bit-identity tests compare them
- * directly.
+ * The row types (ActivityRow, CpiRow) are the per-benchmark shapes
+ * the bench tables print and the uncached reference studies
+ * (tests/reference_studies.h) return, so the bit-identity tests
+ * compare them directly.
  */
 
 #ifndef SIGCOMP_ANALYSIS_REPORT_H_
@@ -74,7 +73,7 @@ struct CpiStudyResult
     /** results[w][d] = designs[d] run over benchmarks[w]. */
     std::vector<std::vector<pipeline::PipelineResult>> results;
 
-    /** Legacy row shape (what runCpiStudy returns). */
+    /** One CpiRow per benchmark (the shape the CPI figures print). */
     std::vector<CpiRow> rows() const;
 
     /** Geometric-mean CPI of @p d across the benchmarks. */

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "analysis/profilers.h"
 #include "common/logging.h"
 #include "common/telemetry.h"
 #include "pipeline/runner.h"
@@ -47,22 +46,6 @@ Session::Session(SessionConfig config) : config_(std::move(config))
     }
     if (config_.captureLimit != cpu::TraceBuffer::defaultMaxInstrs)
         cache_.setCaptureLimit(config_.captureLimit);
-}
-
-Session &
-Session::defaultSession()
-{
-    static Session session;
-    return session;
-}
-
-// The legacy process-global cache IS the default session's cache, so
-// the free-function shims and direct TraceCache::global() users keep
-// sharing one instance.
-TraceCache &
-TraceCache::global()
-{
-    return Session::defaultSession().cache();
 }
 
 ParallelExecutor &
@@ -293,15 +276,6 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
         return rep;
     }
 
-    // Force the one-time suite profiling pass before fanning out so
-    // the compressor's function-local static never constructs inside
-    // (or serialised by) the parallel region. A plan that arrives
-    // already stopped (deadlineMs(0), a pre-fired token) skips it:
-    // the deterministic empty partial report must cost no engine
-    // work at any thread count.
-    if (plan.needsSuiteConfig() && !cancelRequested(cancel))
-        suiteCompressor();
-
     // One metrics system: the baseline snapshot of the cache's
     // registry (engine accounting, health counters, store I/O) is
     // diffed against the post-run state to yield this run's deltas.
@@ -506,11 +480,10 @@ const sig::InstrCompressor &
 suiteCompressor()
 {
     static const sig::InstrCompressor compressor = [] {
-        InstrMixProfiler mix;
-        StudyPlan plan;
-        plan.profile({&mix});
-        Session::defaultSession().run(plan);
-        return mix.buildCompressor();
+        std::vector<std::uint8_t> ranking;
+        for (const isa::Funct f : kSuiteFunctRanking)
+            ranking.push_back(static_cast<std::uint8_t>(f));
+        return sig::InstrCompressor(ranking);
     }();
     return compressor;
 }

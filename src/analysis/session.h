@@ -4,10 +4,10 @@
  * TraceCache (RAM + optional disk tier), a capture limit, and its
  * parallelism — plus the fused StudyPlan executor.
  *
- * Before this API the engine state was a hidden process-global
- * (TraceCache::global()), so two tenants, two tests, or two store
- * bindings in one process stepped on each other, and every study
- * call swept the suite's traces once more. A Session fixes both:
+ * A Session is the only engine instance there is: the library keeps
+ * no process-wide cache or default session, so two tenants, two
+ * tests, or two store bindings in one process never step on each
+ * other, and a plan captures exactly the workloads it names.
  *
  *  - **Isolation.** Each Session owns its cache, store binding,
  *    spill budget and capture limit; any number coexist in one
@@ -20,9 +20,6 @@
  *    profiler sink through the existing retireBlock path. The
  *    per-workload replay counters assert exactly one pass; results
  *    are bit-identical to running the studies one at a time.
- *
- * The legacy free functions (analysis/experiments.h) are thin shims
- * over defaultSession(), which wraps the process-wide cache.
  *
  * Thread-safety: a Session holds no mutable state of its own beyond
  * its TraceCache, which is internally synchronized (see
@@ -38,6 +35,7 @@
 #ifndef SIGCOMP_ANALYSIS_SESSION_H_
 #define SIGCOMP_ANALYSIS_SESSION_H_
 
+#include <array>
 #include <condition_variable>
 #include <memory>
 #include <string>
@@ -50,6 +48,7 @@
 #include "common/mutex.h"
 #include "common/parallel.h"
 #include "common/thread_annotations.h"
+#include "isa/opcodes.h"
 
 namespace sigcomp::analysis
 {
@@ -114,12 +113,6 @@ class Session
     Session(const Session &) = delete;
     Session &operator=(const Session &) = delete;
 
-    /**
-     * The process-wide default Session: the legacy free-function
-     * drivers execute on it, and TraceCache::global() is its cache.
-     */
-    static Session &defaultSession();
-
     TraceCache &cache() { return cache_; }
     const SessionConfig &config() const { return config_; }
 
@@ -141,8 +134,8 @@ class Session
     /**
      * Execute @p plan: one fused batched replay per workload feeding
      * every registered study, assembled into a SuiteReport. Rows and
-     * totals are bit-identical to the legacy one-study-at-a-time
-     * drivers at any thread count. With profiler sinks registered
+     * totals are bit-identical to running each study as its own plan,
+     * at any thread count. With profiler sinks registered
      * the replays run sequentially in workload order (the sinks see
      * the serial retirement stream); capture still fans out. After
      * each pass the session write-backs newly derived SharedQuanta
@@ -226,13 +219,21 @@ class Session
 };
 
 /**
- * Profile the whole suite once (on the default session) and build
- * the funct-ranked instruction compressor (the paper's Table 3
- * step). Process-wide and cached after the first call.
+ * The paper's Table 3 funct ranking of the committed suite: its
+ * R-format function codes, most frequent first, top eight. It is a
+ * constant because the suite is — test_analysis re-profiles the
+ * suite and fails if a workload edit changes the ranking.
  */
+inline constexpr std::array<isa::Funct, 8> kSuiteFunctRanking = {
+    isa::Funct::Addu, isa::Funct::Sll, isa::Funct::Mflo,
+    isa::Funct::Mult, isa::Funct::Slt, isa::Funct::Srl,
+    isa::Funct::Xor,  isa::Funct::Or,
+};
+
+/** The instruction compressor built from kSuiteFunctRanking. */
 const sig::InstrCompressor &suiteCompressor();
 
-/** Pipeline config with the suite-profiled compressor installed. */
+/** Pipeline config with the suite compressor installed. */
 pipeline::PipelineConfig suiteConfig(
     sig::Encoding enc = sig::Encoding::Ext3);
 

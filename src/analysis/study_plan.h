@@ -42,8 +42,8 @@ class StudyPlan
     /**
      * Register an activity study (paper Tables 5/6): every workload
      * through the serial pipeline at @p enc's granularity
-     * (Half1 -> halfword-serial, else byte-serial) with the
-     * suite-profiled compressor. Repeatable: one result per call, in
+     * (Half1 -> halfword-serial, else byte-serial) with the suite
+     * compressor (suiteConfig()). Repeatable: one result per call, in
      * call order.
      */
     StudyPlan &activity(sig::Encoding enc = sig::Encoding::Ext3);
@@ -70,7 +70,7 @@ class StudyPlan
 
     /**
      * Register an energy study: per-workload Wattch-style energy of
-     * @p design at @p enc (suite-profiled compressor) under
+     * @p design at @p enc (suite compressor) under
      * @p tech. Rides the same fused pass. Repeatable.
      */
     StudyPlan &energy(power::TechParams tech = power::TechParams{},
@@ -127,12 +127,6 @@ class StudyPlan
 
     /** True when any study (or profiler sink) is registered. */
     bool hasStudies() const;
-
-    /** True when any study needs the suite-profiled compressor. */
-    bool needsSuiteConfig() const
-    {
-        return !activity_.empty() || !energy_.empty();
-    }
 
   private:
     friend class Session;

@@ -10,10 +10,6 @@
 namespace sigcomp::analysis
 {
 
-// TraceCache::global() is defined in session.cpp: it is the default
-// Session's cache, so the legacy free functions and the Session API
-// share one process-wide instance.
-
 void
 TraceCache::registerProgram(const std::string &workload,
                             isa::Program program)

@@ -1,11 +1,12 @@
 /**
  * @file
- * Process-wide two-tier cache of captured workload traces.
+ * Two-tier cache of captured workload traces, owned by a Session
+ * (analysis/session.h) — one per Session, never process-wide.
  *
  * Every study in this repository is a pure function of one dynamic
  * trace per benchmark (the paper derives all of Tables 3-6 and
  * Figs 4-10 from a single SimpleScalar trace per workload), so
- * functional simulation is a once-per-process cost: the first study
+ * functional simulation is a once-per-Session cost: the first study
  * to touch a workload captures its retirement stream into a
  * TraceBuffer, and every later study — activity, CPI, profiling,
  * any design, any encoding — replays the shared immutable buffer.
@@ -81,14 +82,6 @@ class TraceCache
     TraceCache &operator=(const TraceCache &) = delete;
 
     /**
-     * The shared process-wide instance the legacy free-function
-     * drivers use — it is Session::defaultSession()'s cache (defined
-     * in session.cpp). Prefer owning a Session (and with it a
-     * private TraceCache) for isolated work.
-     */
-    static TraceCache &global();
-
-    /**
      * The workload's trace: from RAM if hot, else loaded from the
      * attached store, else captured on first touch (and written
      * through to the store). @p workload must be a name registered
@@ -133,8 +126,7 @@ class TraceCache
     /**
      * Attach/retune/detach the disk tier. Idempotent: re-configuring
      * with the same directory and mode only updates the spill
-     * budget, so every study driver can apply its StudyOptions
-     * unconditionally.
+     * budget.
      */
     void configureStore(const StoreConfig &config);
 
@@ -147,8 +139,8 @@ class TraceCache
     /**
      * Drop one workload's trace from RAM. Outstanding TracePtrs stay
      * valid (shared ownership); the next get() reloads or recaptures.
-     * This is how profileSuite's opt-in evictAfterReplay keeps peak
-     * memory at one workload's footprint.
+     * This is how StudyPlan::evictAfterReplay() keeps peak memory at
+     * one workload's footprint.
      */
     void evict(const std::string &workload);
 

@@ -2,12 +2,12 @@
  * @file
  * Bounded thread-pool executor for the suite-experiment fan-outs.
  *
- * The experiment drivers (analysis/experiments.h) run one independent
- * simulation per workload; ParallelExecutor spreads those across
- * cores while keeping results order-stable: parallelFor(n, f) invokes
- * f(0) .. f(n-1) exactly once each, callers write results into
- * pre-sized slot i, and the assembled output is byte-for-byte the
- * same as a serial loop regardless of scheduling.
+ * A Session (analysis/session.h) runs one independent simulation per
+ * workload; ParallelExecutor spreads those across cores while keeping
+ * results order-stable: parallelFor(n, f) invokes f(0) .. f(n-1)
+ * exactly once each, callers write results into pre-sized slot i, and
+ * the assembled output is byte-for-byte the same as a serial loop
+ * regardless of scheduling.
  */
 
 #ifndef SIGCOMP_COMMON_PARALLEL_H_

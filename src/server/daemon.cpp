@@ -3,6 +3,7 @@
 #include <chrono>
 
 #include "analysis/plan_json.h"
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/sha256.h"
 #include "store/trace_store.h"
@@ -31,25 +32,6 @@ validTenant(std::string_view tenant)
             return false;
     }
     return true;
-}
-
-/** JSON string escape for the error/stats writers (ASCII payloads). */
-std::string
-jsonEscape(std::string_view s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        if (c == '"' || c == '\\') {
-            out.push_back('\\');
-            out.push_back(c);
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            out.push_back(' ');
-        } else {
-            out.push_back(c);
-        }
-    }
-    return out;
 }
 
 } // namespace
@@ -486,11 +468,11 @@ Daemon::respondError(const std::shared_ptr<net::Conn> &conn,
     body += kErrorSchemaId;
     body += "\",\n  \"status\": ";
     body += std::to_string(status);
-    body += ",\n  \"kind\": \"";
-    body += jsonEscape(kind);
-    body += "\",\n  \"message\": \"";
-    body += jsonEscape(message);
-    body += "\"\n}\n";
+    body += ",\n  \"kind\": ";
+    body += jsonString(kind);
+    body += ",\n  \"message\": ";
+    body += jsonString(message);
+    body += "\n}\n";
     respond(conn, status, "application/json", body);
 }
 
@@ -500,9 +482,9 @@ Daemon::statszJson() const
     std::string out;
     out += "{\n  \"schema\": \"";
     out += kStatsSchemaId;
-    out += "\",\n  \"store_fingerprint\": \"";
-    out += jsonEscape(storeFingerprint_);
-    out += "\",\n  \"tenants\": ";
+    out += "\",\n  \"store_fingerprint\": ";
+    out += jsonString(storeFingerprint_);
+    out += ",\n  \"tenants\": ";
     {
         MutexLock lock(tenantsMu_);
         out += std::to_string(tenants_.size());
@@ -515,9 +497,9 @@ Daemon::statszJson() const
             continue;
         out += first ? "\n" : ",\n";
         first = false;
-        out += "    \"";
-        out += jsonEscape(m.name);
-        out += "\": ";
+        out += "    ";
+        out += jsonString(m.name);
+        out += ": ";
         out += m.kind == telemetry::Kind::Counter
                    ? std::to_string(m.value)
                    : std::to_string(m.gauge);

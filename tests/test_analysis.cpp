@@ -1,10 +1,11 @@
 /**
  * @file
  * Analysis-layer tests: profilers reproduce the paper's
- * characterisation shapes on our suite, and the experiment drivers
- * produce consistent studies. These are the integration tests for
- * the whole stack (workloads -> functional core -> profilers ->
- * pipelines).
+ * characterisation shapes on our suite, Session studies are
+ * consistent and bit-identical to the uncached reference, and the
+ * pinned suite compressor ranking is what the suite profiles to.
+ * These are the integration tests for the whole stack (workloads ->
+ * functional core -> profilers -> pipelines).
  */
 
 #include <gtest/gtest.h>
@@ -12,10 +13,11 @@
 #include <chrono>
 #include <cstdio>
 
-#include "analysis/experiments.h"
 #include "analysis/profilers.h"
+#include "analysis/session.h"
 #include "common/parallel.h"
 #include "cpu/functional_core.h"
+#include "tests/reference_studies.h"
 
 namespace sigcomp::analysis
 {
@@ -23,6 +25,35 @@ namespace
 {
 
 using pipeline::Design;
+
+// Each study runs on a fresh Session (threads 0 = the shared pool).
+
+/** Feed the suite's retirement stream into @p sinks. */
+void
+profileSuite(const std::vector<cpu::TraceSink *> &sinks,
+             unsigned threads = 0)
+{
+    StudyPlan plan;
+    plan.profile(sinks).threads(threads);
+    Session().run(plan);
+}
+
+std::vector<ActivityRow>
+activityStudy(sig::Encoding enc, unsigned threads = 0)
+{
+    StudyPlan plan;
+    plan.activity(enc).threads(threads);
+    return std::move(Session().run(plan).activity.front().rows);
+}
+
+std::vector<CpiRow>
+cpiStudy(const std::vector<Design> &designs,
+         const pipeline::PipelineConfig &cfg, unsigned threads = 0)
+{
+    StudyPlan plan;
+    plan.cpi(designs, cfg).threads(threads);
+    return Session().run(plan).cpi.front().rows();
+}
 
 TEST(PatternProfiler, SuiteShapeMatchesTable1)
 {
@@ -107,6 +138,22 @@ TEST(PcProfiler, EmpiricalMatchesAnalyticShape)
     EXPECT_LT(saving, 80.0);
 }
 
+TEST(SuiteCompressor, PinnedRankingIsTheSuiteProfile)
+{
+    // kSuiteFunctRanking is the suite's measured Table 3 ranking. A
+    // workload edit that changes the profile fails here: update the
+    // constant to the ranking printed below.
+    InstrMixProfiler mix;
+    profileSuite({&mix});
+    const std::vector<std::uint8_t> measured =
+        mix.buildCompressor().ranking();
+    std::string names;
+    for (const std::uint8_t f : measured)
+        names += isa::functName(static_cast<isa::Funct>(f)) + " ";
+    EXPECT_EQ(measured, suiteCompressor().ranking())
+        << "suite profiles to: " << names;
+}
+
 TEST(SuiteCompressor, ImprovesFetchWidthOverDefault)
 {
     InstrMixProfiler def{sig::InstrCompressor::withDefaultRanking()};
@@ -117,7 +164,7 @@ TEST(SuiteCompressor, ImprovesFetchWidthOverDefault)
 
 TEST(ActivityStudy, ByteGranularityBands)
 {
-    const auto rows = runActivityStudy(sig::Encoding::Ext3);
+    const auto rows = activityStudy(sig::Encoding::Ext3);
     ASSERT_EQ(rows.size(), workloads::Suite::names().size());
     const pipeline::ActivityTotals avg = sumActivity(rows);
 
@@ -139,8 +186,8 @@ TEST(ActivityStudy, ByteGranularityBands)
 
 TEST(ActivityStudy, HalfwordSavingsSmallerButSubstantial)
 {
-    const auto byte_rows = runActivityStudy(sig::Encoding::Ext3);
-    const auto half_rows = runActivityStudy(sig::Encoding::Half1);
+    const auto byte_rows = activityStudy(sig::Encoding::Ext3);
+    const auto half_rows = activityStudy(sig::Encoding::Half1);
     const auto byte_avg = sumActivity(byte_rows);
     const auto half_avg = sumActivity(half_rows);
 
@@ -157,7 +204,7 @@ TEST(ActivityStudy, HalfwordSavingsSmallerButSubstantial)
 TEST(CpiStudy, PaperOrderingAcrossSuite)
 {
     const auto designs = pipeline::allDesigns();
-    const auto rows = runCpiStudy(designs, suiteConfig());
+    const auto rows = cpiStudy(designs, suiteConfig());
     ASSERT_EQ(rows.size(), workloads::Suite::names().size());
 
     const double base = meanCpi(rows, Design::Baseline32);
@@ -190,11 +237,12 @@ TEST(CpiStudy, PaperOrderingAcrossSuite)
 
 // ---- parallel experiment engine vs. serial reference ----------------
 //
-// The drivers fan workloads across a thread pool; these tests pin
+// A Session fans workloads across a thread pool; these tests pin
 // the guarantee that the parallel path is *bit-identical* to the
-// serial implementation (threads == 1), and log the wall-clock
-// ratio. A fixed thread count > 1 is used so the pool and the
-// trace-buffer replay path are exercised even on single-core hosts.
+// serial uncached reference (tests/reference_studies.h), and log
+// the wall-clock ratio. A fixed thread count > 1 is used so the pool
+// and the trace-buffer replay path are exercised even on single-core
+// hosts.
 
 constexpr unsigned kParallelThreads = 4;
 
@@ -230,17 +278,15 @@ expectSameActivity(const pipeline::ActivityTotals &a,
 
 TEST(ParallelStudies, ActivityStudyBitIdenticalToSerial)
 {
-    suiteCompressor(); // exclude the one-time profiling pass from timing
-
+    ParallelExecutor serial_exec(1);
     const auto t0 = std::chrono::steady_clock::now();
-    const auto serial = runActivityStudy(
-        sig::Encoding::Ext3,
-        StudyOptions{.threads = 1, .useCache = false});
+    const auto serial =
+        reference::activityStudy(sig::Encoding::Ext3, serial_exec);
     const double serial_s = secondsSince(t0);
 
     const auto t1 = std::chrono::steady_clock::now();
     const auto parallel =
-        runActivityStudy(sig::Encoding::Ext3, kParallelThreads);
+        activityStudy(sig::Encoding::Ext3, kParallelThreads);
     const double parallel_s = secondsSince(t1);
 
     std::printf("[ timing   ] activity study: serial %.3fs, "
@@ -261,13 +307,13 @@ TEST(ParallelStudies, CpiStudyBitIdenticalToSerial)
     const auto designs = pipeline::allDesigns();
     const auto cfg = suiteConfig();
 
+    ParallelExecutor serial_exec(1);
     const auto t0 = std::chrono::steady_clock::now();
-    const auto serial = runCpiStudy(
-        designs, cfg, StudyOptions{.threads = 1, .useCache = false});
+    const auto serial = reference::cpiStudy(designs, cfg, serial_exec);
     const double serial_s = secondsSince(t0);
 
     const auto t1 = std::chrono::steady_clock::now();
-    const auto parallel = runCpiStudy(designs, cfg, kParallelThreads);
+    const auto parallel = cpiStudy(designs, cfg, kParallelThreads);
     const double parallel_s = secondsSince(t1);
 
     std::printf("[ timing   ] CPI study: serial %.3fs, parallel(%u) "
@@ -302,8 +348,8 @@ TEST(ParallelStudies, ProfileSuiteReplayMatchesDirectSinking)
     // in exactly the state the direct serial stream produces.
     InstrMixProfiler serial_mix;
     PatternProfiler serial_pat;
-    profileSuite({&serial_mix, &serial_pat},
-                 StudyOptions{.threads = 1, .useCache = false});
+    ParallelExecutor serial_exec(1);
+    reference::profileSuite({&serial_mix, &serial_pat}, serial_exec);
 
     InstrMixProfiler par_mix;
     PatternProfiler par_pat;
@@ -325,7 +371,7 @@ TEST(CpiStudy, ExStructuralStallsDominateByteSerial)
     // Section 5's bottleneck study: most byte-serial stalls are EX
     // structural hazards, motivating the 3/2/2/1 bandwidth split.
     const auto rows =
-        runCpiStudy({Design::ByteSerial}, suiteConfig());
+        cpiStudy({Design::ByteSerial}, suiteConfig());
     Count structural = 0, total = 0;
     for (const auto &row : rows) {
         const auto &st = row.stalls.at(Design::ByteSerial);

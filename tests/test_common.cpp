@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "common/bitutil.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -147,6 +148,17 @@ TEST(Stats, PercentSaving)
     EXPECT_DOUBLE_EQ(percentSaving(100, 100), 0.0);
     EXPECT_DOUBLE_EQ(percentSaving(0, 100), 100.0);
     EXPECT_DOUBLE_EQ(percentSaving(5, 0), 0.0);
+}
+
+TEST(Json, StringEscapesQuotesBackslashesAndEveryControlByte)
+{
+    EXPECT_EQ(jsonString("plain"), "\"plain\"");
+    EXPECT_EQ(jsonString("a\"b\\c"), "\"a\\\"b\\\\c\"");
+    EXPECT_EQ(jsonString("tab\tnl\n\x01\x1f"),
+              "\"tab\\u0009nl\\u000a\\u0001\\u001f\"");
+    EXPECT_EQ(jsonString(std::string("nul\0end", 7)),
+              "\"nul\\u0000end\"");
+    EXPECT_EQ(jsonString("\x7f\xc3\xa9"), "\"\x7f\xc3\xa9\"");
 }
 
 TEST(Rng, Deterministic)

@@ -605,8 +605,7 @@ runPlan(const std::string &store_dir, Env *env)
     Session session(cfg);
     StudyPlan plan;
     // Plain PipelineConfig: the CPI study exercises capture, store
-    // load/save and annex write-back without dragging in the
-    // process-global suite-profiled compressor.
+    // load/save and annex write-back.
     pipeline::PipelineConfig pcfg;
     plan.workloads({"rawcaudio", "rawdaudio"})
         .threads(1)

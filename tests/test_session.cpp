@@ -1,11 +1,11 @@
 /**
  * @file
  * Session + StudyPlan API tests: the fused plan executes exactly one
- * replay pass per workload trace while staying bit-identical to the
- * legacy one-study-at-a-time drivers at every thread count, isolated
- * Sessions don't cross-talk, ad-hoc workloads work, the
- * StudyOptions/SessionConfig edge cases are well-defined, and the
- * SuiteReport serializes.
+ * replay pass per workload trace while staying bit-identical to
+ * one-study-at-a-time plans at every thread count, isolated Sessions
+ * don't cross-talk, a plan captures only its own workloads, ad-hoc
+ * workloads work, the SessionConfig edge cases are well-defined, and
+ * the SuiteReport serializes.
  */
 
 #include <gtest/gtest.h>
@@ -13,15 +13,17 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <future>
 #include <string_view>
 #include <thread>
 #include <vector>
 
-#include "analysis/experiments.h"
 #include "analysis/profilers.h"
 #include "analysis/session.h"
+#include "common/telemetry.h"
 #include "isa/assembler.h"
 #include "store/trace_store.h"
 #include "workloads/workload.h"
@@ -35,7 +37,6 @@ namespace fs = std::filesystem;
 
 using analysis::Session;
 using analysis::SessionConfig;
-using analysis::StudyOptions;
 using analysis::StudyPlan;
 using analysis::SuiteReport;
 using pipeline::Design;
@@ -115,37 +116,41 @@ TEST(SessionFused, OneReplayPassFeedsEveryStudy)
         EXPECT_EQ(session.trace(name)->replayCount(), 1u) << name;
     }
 
-    // Rows and totals must be bit-identical to the three legacy
-    // driver calls (serial reference runs on the default session).
-    const auto legacy_act = analysis::runActivityStudy(
-        sig::Encoding::Ext3, StudyOptions{.threads = 1});
-    const auto legacy_cpi =
-        analysis::runCpiStudy(pipeline::allDesigns(),
-                              analysis::suiteConfig(),
-                              StudyOptions{.threads = 1});
+    // Rows and totals must be bit-identical to the same three
+    // studies run as serial one-study plans on a second Session.
+    Session serial;
+    StudyPlan act_plan;
+    act_plan.activity(sig::Encoding::Ext3).threads(1);
+    const auto seq_act =
+        std::move(serial.run(act_plan).activity.front().rows);
+    StudyPlan cpi_plan;
+    cpi_plan.cpi(pipeline::allDesigns(), analysis::suiteConfig())
+        .threads(1);
+    const auto seq_cpi = serial.run(cpi_plan).cpi.front().rows();
     analysis::PatternProfiler lpat;
     analysis::InstrMixProfiler lmix;
     analysis::PcProfiler lpc;
-    analysis::profileSuite({&lpat, &lmix, &lpc},
-                           StudyOptions{.threads = 1});
+    StudyPlan profile_plan;
+    profile_plan.profile({&lpat, &lmix, &lpc}).threads(1);
+    (void)serial.run(profile_plan);
 
     ASSERT_EQ(rep.activity.size(), 1u);
-    ASSERT_EQ(rep.activity[0].rows.size(), legacy_act.size());
-    for (std::size_t i = 0; i < legacy_act.size(); ++i) {
+    ASSERT_EQ(rep.activity[0].rows.size(), seq_act.size());
+    for (std::size_t i = 0; i < seq_act.size(); ++i) {
         EXPECT_EQ(rep.activity[0].rows[i].benchmark,
-                  legacy_act[i].benchmark);
+                  seq_act[i].benchmark);
         expectSameActivity(rep.activity[0].rows[i].activity,
-                           legacy_act[i].activity);
+                           seq_act[i].activity);
     }
     ASSERT_EQ(rep.cpi.size(), 1u);
     const auto fused_rows = rep.cpi[0].rows();
-    ASSERT_EQ(fused_rows.size(), legacy_cpi.size());
-    for (std::size_t i = 0; i < legacy_cpi.size(); ++i) {
-        EXPECT_EQ(fused_rows[i].benchmark, legacy_cpi[i].benchmark);
-        EXPECT_TRUE(fused_rows[i].cpi == legacy_cpi[i].cpi)
-            << legacy_cpi[i].benchmark;
-        EXPECT_TRUE(fused_rows[i].stalls == legacy_cpi[i].stalls)
-            << legacy_cpi[i].benchmark;
+    ASSERT_EQ(fused_rows.size(), seq_cpi.size());
+    for (std::size_t i = 0; i < seq_cpi.size(); ++i) {
+        EXPECT_EQ(fused_rows[i].benchmark, seq_cpi[i].benchmark);
+        EXPECT_TRUE(fused_rows[i].cpi == seq_cpi[i].cpi)
+            << seq_cpi[i].benchmark;
+        EXPECT_TRUE(fused_rows[i].stalls == seq_cpi[i].stalls)
+            << seq_cpi[i].benchmark;
     }
     EXPECT_EQ(pat.patterns().raw(), lpat.patterns().raw());
     EXPECT_EQ(mix.functFreq().raw(), lmix.functFreq().raw());
@@ -291,7 +296,7 @@ TEST_F(SessionStoreTest, WarmStoreSessionSkipsCaptureAndComputeQuanta)
         << "warm load must restore the persisted quanta records";
 }
 
-// ---- edge cases (satellite: StudyOptions/SessionConfig) --------------
+// ---- SessionConfig edge cases ----------------------------------------
 
 using SessionDeathTest = SessionStoreTest;
 
@@ -300,15 +305,6 @@ TEST_F(SessionDeathTest, ReadOnlyWithoutStoreDirIsFatal)
     SessionConfig cfg;
     cfg.readOnly = true;
     EXPECT_DEATH({ Session session(cfg); },
-                 "readOnly requires storeDir");
-}
-
-TEST_F(SessionDeathTest, StudyOptionsReadOnlyWithoutStoreDirIsFatal)
-{
-    analysis::InstrMixProfiler mix;
-    StudyOptions opt;
-    opt.readOnly = true;
-    EXPECT_DEATH(analysis::profileSuite({&mix}, opt),
                  "readOnly requires storeDir");
 }
 
@@ -456,6 +452,44 @@ TEST(SessionEnergy, EnergyStudyMatchesDirectModel)
               direct.totalCompressedPj);
     // Still one fused pass despite three registered studies.
     EXPECT_EQ(rep.replayPasses, 1u);
+}
+
+/** cache.capture spans in the process trace so far. */
+std::size_t
+captureSpans()
+{
+    char *buf = nullptr;
+    std::size_t len = 0;
+    std::FILE *f = open_memstream(&buf, &len);
+    telemetry::writeTrace(f);
+    std::fclose(f);
+    const std::string trace(buf, len);
+    std::free(buf);
+    const std::string span = "\"name\": \"cache.capture\"";
+    std::size_t n = 0;
+    for (std::size_t at = trace.find(span); at != std::string::npos;
+         at = trace.find(span, at + 1))
+        ++n;
+    return n;
+}
+
+using SessionTraceTest = SessionStoreTest;
+
+TEST_F(SessionTraceTest, EnergyPlanCapturesOnlyItsWorkload)
+{
+    // An energy study installs the suite compressor; obtaining it
+    // must capture nothing. CTest also runs this test alone in its
+    // own process (test_session_no_hidden_capture), where the
+    // process trace holds exactly this plan's spans.
+    fs::create_directories(dir_);
+    Session session;
+    StudyPlan plan;
+    plan.workloads({"rawcaudio"}).energy().traceFile(dir("/trace.json"));
+    const std::size_t before = captureSpans();
+    const SuiteReport rep = session.run(plan);
+    EXPECT_EQ(rep.captures, 1u);
+    EXPECT_EQ(captureSpans() - before, 1u)
+        << "a capture ran outside the plan's workloads";
 }
 
 TEST(SessionReport, JsonSerializesEveryStudySection)

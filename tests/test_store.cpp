@@ -6,7 +6,7 @@
  * the two-tier TraceCache (load-instead-of-capture, LRU spill,
  * concurrent read-while-spill), and the acceptance property that
  * store-replayed activity/CPI/profiler outputs are bit-identical to
- * live capture across all three encodings.
+ * the uncached reference across all three encodings.
  */
 
 #include <gtest/gtest.h>
@@ -18,12 +18,14 @@
 #include <thread>
 #include <vector>
 
-#include "analysis/experiments.h"
+#include "analysis/profilers.h"
+#include "analysis/session.h"
 #include "analysis/trace_cache.h"
 #include "common/crc32.h"
 #include "pipeline/runner.h"
 #include "store/codec.h"
 #include "store/trace_store.h"
+#include "tests/reference_studies.h"
 #include "workloads/workload.h"
 
 namespace sigcomp
@@ -33,7 +35,8 @@ namespace
 
 namespace fs = std::filesystem;
 
-using analysis::StudyOptions;
+using analysis::Session;
+using analysis::StudyPlan;
 using analysis::TraceCache;
 using pipeline::Design;
 using store::TraceStore;
@@ -593,10 +596,6 @@ class StoreBitIdentity : public ::testing::TestWithParam<sig::Encoding>
     void
     TearDown() override
     {
-        // Detach the store from the global cache so later tests (and
-        // other fixtures) see the plain two-tier-less behaviour.
-        TraceCache::global().configureStore({});
-        TraceCache::global().clear();
         fs::remove_all(dir_);
     }
 
@@ -609,39 +608,37 @@ TEST_P(StoreBitIdentity, ActivityCpiAndProfilersMatchLiveCapture)
     const sig::Encoding enc = GetParam();
     const std::string sdir = dir_.string();
 
-    StudyOptions direct_opt;
-    direct_opt.threads = 1;
-    direct_opt.useCache = false;
-
-    StudyOptions store_opt;
-    store_opt.storeDir = sdir;
-
     // Live-capture reference.
-    const auto activity_live = analysis::runActivityStudy(enc, direct_opt);
-    const auto cpi_live = analysis::runCpiStudy(
-        pipeline::allDesigns(), analysis::suiteConfig(enc), direct_opt);
+    ParallelExecutor serial(1);
+    const auto activity_live = reference::activityStudy(enc, serial);
+    const auto cpi_live = reference::cpiStudy(
+        pipeline::allDesigns(), analysis::suiteConfig(enc), serial);
     analysis::PatternProfiler pat_live;
     analysis::InstrMixProfiler mix_live;
-    analysis::profileSuite({&pat_live, &mix_live}, direct_opt);
+    reference::profileSuite({&pat_live, &mix_live}, serial);
 
-    // Populate the store, then force every trace to come back off
-    // disk (cold RAM tier) for the replayed run.
-    TraceCache::global().clear();
-    (void)analysis::runActivityStudy(enc, store_opt);
-    const std::uint64_t captures = TraceCache::global().captures();
-    TraceCache::global().clear();
-
-    const auto activity_store =
-        analysis::runActivityStudy(enc, store_opt);
-    const auto cpi_store = analysis::runCpiStudy(
-        pipeline::allDesigns(), analysis::suiteConfig(enc), store_opt);
+    // Populate the store, then replay in a fresh Session so every
+    // trace comes back off disk (cold RAM tier).
+    {
+        Session writer({.storeDir = sdir});
+        StudyPlan plan;
+        plan.activity(enc);
+        (void)writer.run(plan);
+    }
+    Session session({.storeDir = sdir});
     analysis::PatternProfiler pat_store;
     analysis::InstrMixProfiler mix_store;
-    analysis::profileSuite({&pat_store, &mix_store}, store_opt);
+    StudyPlan plan;
+    plan.activity(enc)
+        .cpi(pipeline::allDesigns(), analysis::suiteConfig(enc))
+        .profile({&pat_store, &mix_store});
+    const analysis::SuiteReport rep = session.run(plan);
+    const auto &activity_store = rep.activity.front().rows;
+    const auto cpi_store = rep.cpi.front().rows();
 
-    EXPECT_EQ(TraceCache::global().captures(), captures)
+    EXPECT_EQ(session.cache().captures(), 0u)
         << "the replayed run must not have recaptured anything";
-    EXPECT_GT(TraceCache::global().storeLoads(), 0u);
+    EXPECT_GT(session.cache().storeLoads(), 0u);
 
     ASSERT_EQ(activity_store.size(), activity_live.size());
     for (std::size_t i = 0; i < activity_live.size(); ++i) {
@@ -842,8 +839,7 @@ TEST_F(StoreTest, LegacyV1SegmentLoadsReplaysAndUpgrades)
     // A cache load upgrades the segment in place (write-through
     // re-save in the current format), and the upgraded segment loads
     // as current from then on.
-    TraceCache &cache = TraceCache::global();
-    cache.setCaptureLimit(cpu::TraceBuffer::defaultMaxInstrs);
+    TraceCache cache;
     cache.configureStore({dir(), 0, false});
     cache.clear();
     const std::uint64_t captures = cache.captures();
@@ -866,9 +862,6 @@ TEST_F(StoreTest, LegacyV1SegmentLoadsReplaysAndUpgrades)
     const auto again = cache.get("rawdaudio");
     EXPECT_EQ(cache.storeSaves(), saves2);
     EXPECT_EQ(replayDigest(*again), reference);
-
-    cache.configureStore({});
-    cache.clear();
 }
 
 TEST_F(StoreTest, TakenColumnStoresControlBitsOnly)

@@ -262,6 +262,26 @@ TEST(TelemetrySpans, NestedAndCrossThreadSpansLandOnTheirTracks)
     EXPECT_NE(tid_of(other_at), tid_of(outer_at));
 }
 
+TEST_F(TelemetryFileTest, ControlBytesInThreadNamesKeepTheTraceValid)
+{
+    tele::startTracing();
+    std::thread named([] {
+        tele::setThreadName("tab\tname");
+        SIGCOMP_SPAN("tab.thread");
+    });
+    named.join();
+    tele::stopTracing();
+    ASSERT_TRUE(tele::writeTrace(path("tab.json")));
+
+    EXPECT_NE(readFile(path("tab.json")).find("\"tab\\u0009name\""),
+              std::string::npos);
+    const std::string validate = std::string(SIGCOMP_PROF_BIN) +
+                                 " validate '" + path("tab.json") +
+                                 "' > /dev/null";
+    EXPECT_EQ(std::system(validate.c_str()), 0)
+        << "sigcomp_prof rejected the trace";
+}
+
 TEST(TelemetrySpans, InactiveTracingRecordsNothingNew)
 {
     // Tracing is off (stopTracing ran above / never started): a span

@@ -3,7 +3,8 @@
  * Trace capture/replay engine tests: the TraceBuffer SoA round-trip
  * is field-exact, the TraceCache captures each workload exactly once
  * under concurrency, and cached batched replay is bit-identical to
- * direct execution for every study type across all three encodings.
+ * the uncached reference (tests/reference_studies.h) for every study
+ * type across all three encodings.
  */
 
 #include <gtest/gtest.h>
@@ -11,12 +12,13 @@
 #include <thread>
 #include <vector>
 
-#include "analysis/experiments.h"
 #include "analysis/profilers.h"
+#include "analysis/session.h"
 #include "analysis/trace_cache.h"
 #include "cpu/functional_core.h"
 #include "cpu/trace_buffer.h"
 #include "pipeline/runner.h"
+#include "tests/reference_studies.h"
 #include "workloads/workload.h"
 
 namespace sigcomp
@@ -24,9 +26,27 @@ namespace sigcomp
 namespace
 {
 
-using analysis::StudyOptions;
+using analysis::Session;
+using analysis::StudyPlan;
 using analysis::TraceCache;
 using pipeline::Design;
+
+std::vector<analysis::ActivityRow>
+activityStudy(Session &session, sig::Encoding enc, unsigned threads = 0)
+{
+    StudyPlan plan;
+    plan.activity(enc).threads(threads);
+    return std::move(session.run(plan).activity.front().rows);
+}
+
+std::vector<analysis::CpiRow>
+cpiStudy(Session &session, const std::vector<Design> &designs,
+         const pipeline::PipelineConfig &cfg, unsigned threads = 0)
+{
+    StudyPlan plan;
+    plan.cpi(designs, cfg).threads(threads);
+    return session.run(plan).cpi.front().rows();
+}
 
 /** Collect every retired instruction by value (fields, not pointers). */
 class CollectSink : public cpu::TraceSink
@@ -222,21 +242,20 @@ TEST(TraceCache, MemoryBytesTracksCachedTraces)
 
 TEST(SimulateOnce, ThreeStudiesShareOneFunctionalPassPerWorkload)
 {
-    // The acceptance property: a process running an activity study,
+    // The acceptance property: a Session running an activity study,
     // a CPI study, and a profiling pass performs exactly one
     // functional simulation per workload.
-    analysis::suiteCompressor(); // profiling pass (captures on miss)
-    TraceCache &cache = TraceCache::global();
-    cache.clear();
-    const std::uint64_t before = cache.captures();
-
-    const auto activity = analysis::runActivityStudy(sig::Encoding::Ext3);
-    const auto cpi = analysis::runCpiStudy(
-        {Design::Baseline32, Design::ByteSerial}, analysis::suiteConfig());
+    Session session;
+    const auto activity = activityStudy(session, sig::Encoding::Ext3);
+    const auto cpi =
+        cpiStudy(session, {Design::Baseline32, Design::ByteSerial},
+                 analysis::suiteConfig());
     analysis::PatternProfiler pat;
-    analysis::profileSuite({&pat});
+    StudyPlan plan;
+    plan.profile({&pat});
+    session.run(plan);
 
-    EXPECT_EQ(cache.captures() - before,
+    EXPECT_EQ(session.cache().captures(),
               workloads::Suite::names().size());
     EXPECT_EQ(activity.size(), workloads::Suite::names().size());
     EXPECT_EQ(cpi.size(), workloads::Suite::names().size());
@@ -245,25 +264,25 @@ TEST(SimulateOnce, ThreeStudiesShareOneFunctionalPassPerWorkload)
 
 TEST(SimulateOnce, EvictAfterReplayRestoresTailOffBehaviour)
 {
-    TraceCache &cache = TraceCache::global();
-    cache.clear();
-    const std::uint64_t before = cache.captures();
+    Session session;
+    TraceCache &cache = session.cache();
 
     analysis::InstrMixProfiler mix;
-    analysis::profileSuite({&mix},
-                           StudyOptions{.evictAfterReplay = true});
+    StudyPlan evicting;
+    evicting.profile({&mix}).evictAfterReplay();
+    session.run(evicting);
     // One capture each, nothing retained afterwards.
-    EXPECT_EQ(cache.captures() - before,
-              workloads::Suite::names().size());
+    EXPECT_EQ(cache.captures(), workloads::Suite::names().size());
     for (const std::string &name : workloads::Suite::names())
         EXPECT_FALSE(cache.contains(name)) << name;
     EXPECT_EQ(cache.memoryBytes(), 0u);
 
     // A later study recaptures from scratch.
     analysis::InstrMixProfiler mix2;
-    analysis::profileSuite({&mix2});
-    EXPECT_EQ(cache.captures() - before,
-              2 * workloads::Suite::names().size());
+    StudyPlan retaining;
+    retaining.profile({&mix2});
+    session.run(retaining);
+    EXPECT_EQ(cache.captures(), 2 * workloads::Suite::names().size());
     EXPECT_EQ(mix2.meanFetchBytes(), mix.meanFetchBytes());
 }
 
@@ -299,12 +318,11 @@ class BitIdentityAcrossEncodings
 TEST_P(BitIdentityAcrossEncodings, ActivityStudy)
 {
     const sig::Encoding enc = GetParam();
-    const auto direct = analysis::runActivityStudy(
-        enc, StudyOptions{.threads = 1, .useCache = false});
-    const auto cached_serial = analysis::runActivityStudy(
-        enc, StudyOptions{.threads = 1, .useCache = true});
-    const auto cached_parallel = analysis::runActivityStudy(
-        enc, StudyOptions{.threads = 4, .useCache = true});
+    ParallelExecutor serial(1);
+    const auto direct = reference::activityStudy(enc, serial);
+    Session session;
+    const auto cached_serial = activityStudy(session, enc, 1);
+    const auto cached_parallel = activityStudy(session, enc, 4);
 
     ASSERT_EQ(cached_serial.size(), direct.size());
     ASSERT_EQ(cached_parallel.size(), direct.size());
@@ -322,10 +340,10 @@ TEST_P(BitIdentityAcrossEncodings, CpiStudy)
     const auto designs = pipeline::allDesigns();
     const auto cfg = analysis::suiteConfig(enc);
 
-    const auto direct = analysis::runCpiStudy(
-        designs, cfg, StudyOptions{.threads = 1, .useCache = false});
-    const auto cached = analysis::runCpiStudy(
-        designs, cfg, StudyOptions{.threads = 4, .useCache = true});
+    ParallelExecutor serial(1);
+    const auto direct = reference::cpiStudy(designs, cfg, serial);
+    Session session;
+    const auto cached = cpiStudy(session, designs, cfg, 4);
 
     ASSERT_EQ(cached.size(), direct.size());
     for (std::size_t i = 0; i < direct.size(); ++i) {
@@ -349,13 +367,15 @@ TEST(BitIdentity, ProfilersMatchDirectExecution)
     analysis::PatternProfiler d_pat;
     analysis::InstrMixProfiler d_mix;
     analysis::PcProfiler d_pc;
-    analysis::profileSuite({&d_pat, &d_mix, &d_pc},
-                           StudyOptions{.threads = 1, .useCache = false});
+    ParallelExecutor serial(1);
+    reference::profileSuite({&d_pat, &d_mix, &d_pc}, serial);
 
     analysis::PatternProfiler c_pat;
     analysis::InstrMixProfiler c_mix;
     analysis::PcProfiler c_pc;
-    analysis::profileSuite({&c_pat, &c_mix, &c_pc});
+    StudyPlan plan;
+    plan.profile({&c_pat, &c_mix, &c_pc});
+    Session().run(plan);
 
     EXPECT_EQ(c_pat.patterns().raw(), d_pat.patterns().raw());
     EXPECT_EQ(c_pat.meanSignificantBytes(), d_pat.meanSignificantBytes());
