@@ -7,6 +7,7 @@
  */
 
 #include <cmath>
+#include <memory>
 
 #include "analysis/session.h"
 #include "analysis/profilers.h"
@@ -27,10 +28,26 @@ struct EncStats
 };
 
 /** Mean stored bits per operand under an encoding. */
-class StorageProfiler : public cpu::TraceSink
+class StorageProfiler : public analysis::ProfileSink
 {
   public:
     explicit StorageProfiler(sig::Encoding enc) : enc_(enc) {}
+
+    std::unique_ptr<analysis::ProfileSink>
+    fresh() const override
+    {
+        return std::make_unique<StorageProfiler>(enc_);
+    }
+
+    void
+    merge(const analysis::ProfileSink &part) override
+    {
+        const EncStats &p =
+            dynamic_cast<const StorageProfiler &>(part).stats_;
+        stats_.operands += p.operands;
+        stats_.dataBits += p.dataBits;
+        stats_.storageBits += p.storageBits;
+    }
 
     void
     retire(const cpu::DynInstr &di) override

@@ -9,6 +9,8 @@
  * the exception path fires dynamically.
  */
 
+#include <memory>
+
 #include "analysis/session.h"
 #include "bench/bench_util.h"
 #include "cpu/functional_core.h"
@@ -20,9 +22,23 @@ namespace
 {
 
 /** Dynamic frequency of Table-4 exceptions in additive operations. */
-class ExceptionProfiler : public cpu::TraceSink
+class ExceptionProfiler : public analysis::ProfileSink
 {
   public:
+    std::unique_ptr<analysis::ProfileSink>
+    fresh() const override
+    {
+        return std::make_unique<ExceptionProfiler>();
+    }
+
+    void
+    merge(const analysis::ProfileSink &part) override
+    {
+        const auto &p = dynamic_cast<const ExceptionProfiler &>(part);
+        adds += p.adds;
+        exceptions += p.exceptions;
+    }
+
     void
     retire(const cpu::DynInstr &di) override
     {

@@ -93,6 +93,20 @@ PatternProfiler::retireBlock(std::span<const cpu::DynInstr> block)
     totalBytes_ += bytes;
 }
 
+std::unique_ptr<ProfileSink>
+PatternProfiler::fresh() const
+{
+    return std::make_unique<PatternProfiler>();
+}
+
+void
+PatternProfiler::merge(const ProfileSink &part)
+{
+    const auto &p = dynamic_cast<const PatternProfiler &>(part);
+    patterns_.merge(p.patterns_);
+    totalBytes_ += p.totalBytes_;
+}
+
 double
 PatternProfiler::ext2Coverage() const
 {
@@ -233,6 +247,27 @@ InstrMixProfiler::retireBlock(std::span<const cpu::DynInstr> block)
             functs_.record(static_cast<std::uint8_t>(code), functs[code]);
 }
 
+std::unique_ptr<ProfileSink>
+InstrMixProfiler::fresh() const
+{
+    return std::make_unique<InstrMixProfiler>(compressor_);
+}
+
+void
+InstrMixProfiler::merge(const ProfileSink &part)
+{
+    const auto &p = dynamic_cast<const InstrMixProfiler &>(part);
+    functs_.merge(p.functs_);
+    total_ += p.total_;
+    rFormat_ += p.rFormat_;
+    iFormat_ += p.iFormat_;
+    jFormat_ += p.jFormat_;
+    hasImm_ += p.hasImm_;
+    shortImm_ += p.shortImm_;
+    fetchBytes_ += p.fetchBytes_;
+    addLike_ += p.addLike_;
+}
+
 PcProfiler::PcProfiler()
     : accs_{sig::PcActivityAccumulator(1), sig::PcActivityAccumulator(2),
             sig::PcActivityAccumulator(3), sig::PcActivityAccumulator(4),
@@ -309,6 +344,20 @@ PcProfiler::retireBlock(std::span<const cpu::DynInstr> block)
         accs_[i].applyUpdateBatch(block.size(), changed_sum[i],
                                   cycles_sum[i]);
     }
+}
+
+std::unique_ptr<ProfileSink>
+PcProfiler::fresh() const
+{
+    return std::make_unique<PcProfiler>();
+}
+
+void
+PcProfiler::merge(const ProfileSink &part)
+{
+    const auto &p = dynamic_cast<const PcProfiler &>(part);
+    for (std::size_t i = 0; i < accs_.size(); ++i)
+        accs_[i].merge(p.accs_[i]);
 }
 
 const sig::PcActivityAccumulator &

@@ -11,9 +11,10 @@
 #define SIGCOMP_ANALYSIS_PROFILERS_H_
 
 #include <array>
+#include <memory>
 
+#include "analysis/profile_sink.h"
 #include "common/stats.h"
-#include "cpu/trace.h"
 #include "sigcomp/byte_pattern.h"
 #include "sigcomp/instr_compress.h"
 #include "sigcomp/pc_increment.h"
@@ -26,13 +27,16 @@ namespace sigcomp::analysis
  * dynamic operand values (register sources, results, and memory
  * data).
  */
-class PatternProfiler : public cpu::TraceSink
+class PatternProfiler : public ProfileSink
 {
   public:
     void retire(const cpu::DynInstr &di) override;
 
     /** Batched path: flat per-pattern tallies merged per block. */
     void retireBlock(std::span<const cpu::DynInstr> block) override;
+
+    std::unique_ptr<ProfileSink> fresh() const override;
+    void merge(const ProfileSink &part) override;
 
     const Distribution<sig::ByteMask> &patterns() const
     {
@@ -56,7 +60,7 @@ class PatternProfiler : public cpu::TraceSink
  * Table 3 + section 2.3: dynamic funct frequencies, format mix,
  * immediate sizes, and compressed fetch widths.
  */
-class InstrMixProfiler : public cpu::TraceSink
+class InstrMixProfiler : public ProfileSink
 {
   public:
     explicit InstrMixProfiler(
@@ -73,6 +77,10 @@ class InstrMixProfiler : public cpu::TraceSink
      * flat counters merged per block.
      */
     void retireBlock(std::span<const cpu::DynInstr> block) override;
+
+    /** A part with the same compressor. */
+    std::unique_ptr<ProfileSink> fresh() const override;
+    void merge(const ProfileSink &part) override;
 
     const Distribution<std::uint8_t> &functFreq() const
     {
@@ -155,7 +163,7 @@ class InstrMixProfiler : public cpu::TraceSink
  * Table 2 (empirical side): PC-update activity and latency per
  * block size, fed with the real dynamic PC stream.
  */
-class PcProfiler : public cpu::TraceSink
+class PcProfiler : public ProfileSink
 {
   public:
     PcProfiler();
@@ -164,6 +172,13 @@ class PcProfiler : public cpu::TraceSink
 
     /** Batched path: monomorphic loop over the accumulators. */
     void retireBlock(std::span<const cpu::DynInstr> block) override;
+
+    /**
+     * Each update reads only its own instruction's pc and nextPc, so
+     * no state crosses a workload boundary and parts merge exactly.
+     */
+    std::unique_ptr<ProfileSink> fresh() const override;
+    void merge(const ProfileSink &part) override;
 
     /** Accumulator for block size @p bits (1..8). */
     const sig::PcActivityAccumulator &forBlockBits(unsigned bits) const;

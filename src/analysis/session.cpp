@@ -293,6 +293,12 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
         std::vector<std::vector<pipeline::PipelineResult>> cpi;
         std::vector<pipeline::PipelineResult> activity;
         std::vector<pipeline::PipelineResult> energy;
+        /**
+         * This workload's fresh() part of each plan sink, made on
+         * the calling thread before the fan-out and fed only by
+         * this workload's pass.
+         */
+        std::vector<std::unique_ptr<ProfileSink>> parts;
         DWord instructions = 0;
         std::uint64_t replayDelta = 0;
         /**
@@ -303,6 +309,9 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
         bool completed = false;
     };
     std::vector<Harvest> harvest(names.size());
+    for (Harvest &h : harvest)
+        for (const ProfileSink *sink : plan.sinks_)
+            h.parts.push_back(sink->fresh());
 
     auto runOne = [&](std::size_t i) {
         // One span per workload's fused pass; on a parallel plan
@@ -349,16 +358,20 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
         for (const StudyPlan::EnergySpec &e : plan.energy_)
             add(e.design, suiteConfig(e.enc));
 
+        Harvest &h = harvest[i];
+        std::vector<cpu::TraceSink *> sinks;
+        for (const std::unique_ptr<ProfileSink> &part : h.parts)
+            sinks.push_back(part.get());
         try {
-            pipeline::replayPipelines(*trace, raw, plan.sinks_, cancel);
+            pipeline::replayPipelines(*trace, raw, sinks, cancel);
         } catch (const CancelledError &) {
             // Aborted mid-replay: nothing was published on the trace
             // and nothing is harvested for this workload. The partial
-            // report simply doesn't cover it.
+            // report simply doesn't cover it, and its sink parts are
+            // never merged.
             return;
         }
 
-        Harvest &h = harvest[i];
         std::size_t cursor = 0;
         h.cpi.resize(plan.cpi_.size());
         for (std::size_t s = 0; s < plan.cpi_.size(); ++s)
@@ -379,23 +392,9 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
             cache_.evict(names[i]);
     };
 
-    // Shared profiler sinks must observe the serial retirement
-    // stream in workload order, so plans with profilers replay
-    // sequentially (capture still fans out via prewarm); plans with
-    // pipelines only fan whole workloads across the executor.
-    const bool parallel_replay =
-        plan.sinks_.empty() && exec->threadCount() > 1;
     if (exec->threadCount() > 1 && !cancelRequested(cancel))
         cache_.prewarm(names, *exec, cancel);
-    if (parallel_replay) {
-        exec->parallelFor(names.size(), runOne, cancel);
-    } else {
-        for (std::size_t i = 0; i < names.size(); ++i) {
-            if (cancelRequested(cancel))
-                break;
-            runOne(i);
-        }
-    }
+    exec->parallelFor(names.size(), runOne, cancel);
 
     // ---- assemble the report in study registration order ----------
     // A stopped run covers the completed workloads only: every row
@@ -411,6 +410,11 @@ Session::runStudies(const StudyPlan &plan, const CancelToken &token)
     done_names.reserve(done.size());
     for (std::size_t w : done)
         done_names.push_back(names[w]);
+    // The caller's sinks receive the completed workloads' parts in
+    // suite order: the serial stream of exactly the covered rows.
+    for (std::size_t w : done)
+        for (std::size_t s = 0; s < plan.sinks_.size(); ++s)
+            plan.sinks_[s]->merge(*harvest[w].parts[s]);
 
     rep.cpi.resize(plan.cpi_.size());
     for (std::size_t s = 0; s < plan.cpi_.size(); ++s) {

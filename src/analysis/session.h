@@ -135,12 +135,14 @@ class Session
      * Execute @p plan: one fused batched replay per workload feeding
      * every registered study, assembled into a SuiteReport. Rows and
      * totals are bit-identical to running each study as its own plan,
-     * at any thread count. With profiler sinks registered
-     * the replays run sequentially in workload order (the sinks see
-     * the serial retirement stream); capture still fans out. After
-     * each pass the session write-backs newly derived SharedQuanta
-     * annexes to the attached store, so warm-store processes skip
-     * computeQuanta as well as capture.
+     * at any thread count. Every plan fans whole workloads across
+     * the executor; profiler sinks are fed per-workload fresh()
+     * parts that merge into the caller's sinks in suite order after
+     * the fan-out, so sink tallies equal the serial retirement
+     * stream's too (analysis/profile_sink.h). After each pass the
+     * session write-backs newly derived SharedQuanta annexes to the
+     * attached store, so warm-store processes skip computeQuanta as
+     * well as capture.
      *
      * The run is instrumented end to end (see common/telemetry.h):
      * the report's `telemetry` block is this run's metrics delta,

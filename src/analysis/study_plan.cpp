@@ -21,7 +21,7 @@ StudyPlan::cpi(std::vector<pipeline::Design> designs,
 }
 
 StudyPlan &
-StudyPlan::profile(std::vector<cpu::TraceSink *> sinks)
+StudyPlan::profile(std::vector<ProfileSink *> sinks)
 {
     sinks_.insert(sinks_.end(), sinks.begin(), sinks.end());
     return *this;

@@ -23,8 +23,8 @@
 #include <string>
 #include <vector>
 
+#include "analysis/profile_sink.h"
 #include "common/cancel.h"
-#include "cpu/trace.h"
 #include "pipeline/models.h"
 #include "pipeline/pipeline.h"
 #include "power/energy_model.h"
@@ -59,14 +59,16 @@ class StudyPlan
                    pipeline::PipelineConfig config);
 
     /**
-     * Register caller-owned profiler sinks (paper Tables 1-3). The
-     * sinks are shared and need not be thread-safe: a plan with
-     * profilers replays workloads sequentially in suite order, so
-     * the sinks observe exactly the serial retirement stream — in
-     * the same single pass that feeds the pipeline studies.
-     * Repeatable (appends).
+     * Register caller-owned profiler sinks (paper Tables 1-3), fed
+     * by the same single pass that feeds the pipeline studies. Each
+     * workload's replay feeds its own fresh() part of every sink;
+     * after the fan-out the parts of the completed workloads merge
+     * into the caller's sinks in suite order, so a sink ends in
+     * exactly the state of the serial retirement stream at any
+     * thread count, and needs no locking (see
+     * analysis/profile_sink.h). Repeatable (appends).
      */
-    StudyPlan &profile(std::vector<cpu::TraceSink *> sinks);
+    StudyPlan &profile(std::vector<ProfileSink *> sinks);
 
     /**
      * Register an energy study: per-workload Wattch-style energy of
@@ -87,9 +89,8 @@ class StudyPlan
 
     /**
      * Override the executing session's thread count for this run
-     * (0 = shared pool, 1 = serial). Replay-pass results are
-     * independent of the value; with profilers registered the replay
-     * itself is always sequential (capture still fans out).
+     * (0 = shared pool, 1 = serial). Study rows and sink tallies are
+     * independent of the value.
      */
     StudyPlan &threads(unsigned n);
 
@@ -154,7 +155,7 @@ class StudyPlan
     std::vector<sig::Encoding> activity_;
     std::vector<CpiSpec> cpi_;
     std::vector<EnergySpec> energy_;
-    std::vector<cpu::TraceSink *> sinks_;
+    std::vector<ProfileSink *> sinks_;
     std::vector<std::string> workloads_;
     std::string traceFile_;
     unsigned threads_ = 0;

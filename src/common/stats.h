@@ -108,6 +108,19 @@ class Distribution
 
     const std::map<Key, Count> &raw() const { return counts_; }
 
+    /**
+     * Add every count of @p other into this distribution. A key is
+     * created only for a nonzero count, so merging per-part tallies
+     * leaves exactly the key set one combined tally would.
+     */
+    void
+    merge(const Distribution &other)
+    {
+        for (const auto &[k, n] : other.counts_)
+            if (n != 0)
+                record(k, n);
+    }
+
     void
     reset()
     {

@@ -195,6 +195,16 @@ class PcActivityAccumulator
         cycles_ += cycles;
     }
 
+    /** Add @p other's totals (same block size) into this one. */
+    void
+    merge(const PcActivityAccumulator &other)
+    {
+        SC_ASSERT(other.blockBits_ == blockBits_,
+                  "merging PC accumulators of different block sizes");
+        applyUpdateBatch(other.updates_, other.blocksChanged_,
+                         other.cycles_);
+    }
+
     unsigned blockBits() const { return blockBits_; }
     Count updates() const { return updates_; }
 

@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <string>
 
 #include "analysis/profilers.h"
 #include "analysis/session.h"
@@ -30,7 +31,7 @@ using pipeline::Design;
 
 /** Feed the suite's retirement stream into @p sinks. */
 void
-profileSuite(const std::vector<cpu::TraceSink *> &sinks,
+profileSuite(const std::vector<ProfileSink *> &sinks,
              unsigned threads = 0)
 {
     StudyPlan plan;
@@ -342,28 +343,79 @@ TEST(ParallelStudies, CpiStudyBitIdenticalToSerial)
     }
 }
 
+void
+expectSameTallies(const PatternProfiler &got, const PatternProfiler &want)
+{
+    EXPECT_EQ(got.patterns().raw(), want.patterns().raw())
+        << "counts and key set";
+    EXPECT_EQ(got.patterns().total(), want.patterns().total());
+    for (sig::ByteMask m = 0; m < 16; ++m)
+        EXPECT_EQ(got.patterns().count(m), want.patterns().count(m));
+    EXPECT_EQ(got.patterns().ranked(), want.patterns().ranked());
+    EXPECT_EQ(got.ext2Coverage(), want.ext2Coverage());
+    EXPECT_EQ(got.meanSignificantBytes(), want.meanSignificantBytes());
+}
+
+void
+expectSameTallies(const InstrMixProfiler &got,
+                  const InstrMixProfiler &want)
+{
+    EXPECT_EQ(got.functFreq().raw(), want.functFreq().raw())
+        << "counts and key set";
+    EXPECT_EQ(got.functFreq().total(), want.functFreq().total());
+    EXPECT_EQ(got.functFreq().ranked(), want.functFreq().ranked());
+    EXPECT_EQ(got.total(), want.total());
+    EXPECT_EQ(got.rFormatFraction(), want.rFormatFraction());
+    EXPECT_EQ(got.iFormatFraction(), want.iFormatFraction());
+    EXPECT_EQ(got.jFormatFraction(), want.jFormatFraction());
+    EXPECT_EQ(got.immediateFraction(), want.immediateFraction());
+    EXPECT_EQ(got.shortImmediateFraction(),
+              want.shortImmediateFraction());
+    EXPECT_EQ(got.meanFetchBytes(), want.meanFetchBytes());
+    EXPECT_EQ(got.additionFraction(), want.additionFraction());
+    EXPECT_EQ(got.buildCompressor().ranking(),
+              want.buildCompressor().ranking());
+}
+
+void
+expectSameTallies(const PcProfiler &got, const PcProfiler &want)
+{
+    for (unsigned b = 1; b <= 8; ++b) {
+        const sig::PcActivityAccumulator &g = got.forBlockBits(b);
+        const sig::PcActivityAccumulator &w = want.forBlockBits(b);
+        EXPECT_EQ(g.blockBits(), w.blockBits()) << b;
+        EXPECT_EQ(g.updates(), w.updates()) << b;
+        EXPECT_EQ(g.activityBits(), w.activityBits()) << b;
+        EXPECT_EQ(g.cycles(), w.cycles()) << b;
+        EXPECT_EQ(g.meanActivityBits(), w.meanActivityBits()) << b;
+        EXPECT_EQ(g.meanCycles(), w.meanCycles()) << b;
+    }
+}
+
 TEST(ParallelStudies, ProfileSuiteReplayMatchesDirectSinking)
 {
-    // Shared profiler sinks fed by buffered parallel replay must end
-    // in exactly the state the direct serial stream produces.
-    InstrMixProfiler serial_mix;
-    PatternProfiler serial_pat;
+    // Every profiled plan replays across the executor and merges
+    // per-workload sink parts in suite order; the caller's sinks must
+    // end exactly where the uncached serial stream leaves them, at
+    // any thread count. The mix profiler uses a non-default
+    // compressor, so a part that lost its configuration would fetch
+    // different widths.
+    PatternProfiler ref_pat;
+    InstrMixProfiler ref_mix{suiteCompressor()};
+    PcProfiler ref_pc;
     ParallelExecutor serial_exec(1);
-    reference::profileSuite({&serial_mix, &serial_pat}, serial_exec);
+    reference::profileSuite({&ref_pat, &ref_mix, &ref_pc}, serial_exec);
 
-    InstrMixProfiler par_mix;
-    PatternProfiler par_pat;
-    profileSuite({&par_mix, &par_pat}, kParallelThreads);
-
-    EXPECT_EQ(par_mix.iFormatFraction(), serial_mix.iFormatFraction());
-    EXPECT_EQ(par_mix.rFormatFraction(), serial_mix.rFormatFraction());
-    EXPECT_EQ(par_mix.jFormatFraction(), serial_mix.jFormatFraction());
-    EXPECT_EQ(par_mix.immediateFraction(),
-              serial_mix.immediateFraction());
-    EXPECT_EQ(par_mix.meanFetchBytes(), serial_mix.meanFetchBytes());
-    EXPECT_EQ(par_pat.ext2Coverage(), serial_pat.ext2Coverage());
-    EXPECT_EQ(par_pat.meanSignificantBytes(),
-              serial_pat.meanSignificantBytes());
+    for (const unsigned threads : {1u, 4u, 8u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        PatternProfiler pat;
+        InstrMixProfiler mix{suiteCompressor()};
+        PcProfiler pc;
+        profileSuite({&pat, &mix, &pc}, threads);
+        expectSameTallies(pat, ref_pat);
+        expectSameTallies(mix, ref_mix);
+        expectSameTallies(pc, ref_pc);
+    }
 }
 
 TEST(CpiStudy, ExStructuralStallsDominateByteSerial)

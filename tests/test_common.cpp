@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "common/bitutil.h"
 #include "common/json.h"
 #include "common/rng.h"
@@ -140,6 +142,27 @@ TEST(Stats, DistributionRankingAndFractions)
     EXPECT_EQ(ranked[0].first, 7);
     EXPECT_EQ(ranked[1].first, 3);
     EXPECT_EQ(ranked[2].first, 9);
+}
+
+TEST(Stats, DistributionMergeAddsCountsAndCreatesNoZeroKeys)
+{
+    Distribution<int> a;
+    a.record(3, 2);
+    Distribution<int> b;
+    b.record(3, 1);
+    b.record(7, 0); // a zero tally present in the part
+    b.record(9, 4);
+    a.merge(b);
+    const std::map<int, Count> want = {{3, 3}, {9, 4}};
+    EXPECT_EQ(a.raw(), want);
+    EXPECT_EQ(a.total(), 7u);
+
+    // Merging into an empty distribution reproduces the part's
+    // nonzero tallies exactly.
+    Distribution<int> empty;
+    empty.merge(a);
+    EXPECT_EQ(empty.raw(), a.raw());
+    EXPECT_EQ(empty.total(), a.total());
 }
 
 TEST(Stats, PercentSaving)

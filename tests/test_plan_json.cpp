@@ -23,6 +23,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -351,9 +352,15 @@ TEST(PlanJsonErrors, UnsupportedBranch)
         EXPECT_EQ(out, "sentinel") << "failed write must not touch out";
     };
     {
-        class NullSink : public cpu::TraceSink
+        class NullSink : public analysis::ProfileSink
         {
             void retire(const cpu::DynInstr &) override {}
+            std::unique_ptr<analysis::ProfileSink>
+            fresh() const override
+            {
+                return std::make_unique<NullSink>();
+            }
+            void merge(const analysis::ProfileSink &) override {}
         };
         static NullSink sink;
         StudyPlan plan;

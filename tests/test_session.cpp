@@ -17,6 +17,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <future>
+#include <memory>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -24,6 +26,7 @@
 #include "analysis/profilers.h"
 #include "analysis/session.h"
 #include "common/telemetry.h"
+#include "cpu/trace_buffer.h"
 #include "isa/assembler.h"
 #include "store/trace_store.h"
 #include "workloads/workload.h"
@@ -169,10 +172,9 @@ class SessionThreads : public ::testing::TestWithParam<unsigned>
 
 TEST_P(SessionThreads, FusedPlanIsThreadCountInvariant)
 {
-    // A pipelines-only plan fans whole workloads across the
-    // executor; a plan with profilers replays serially after a
-    // parallel prewarm. Either way every row must be bit-identical
-    // to the serial reference.
+    // Profiled or not, a plan fans whole workloads across the
+    // executor after a parallel prewarm; every row must be
+    // bit-identical to the serial reference.
     const unsigned threads = GetParam();
     static const SuiteReport reference = [] {
         Session s;
@@ -651,14 +653,19 @@ TEST(SessionLifecycle, PreFiredTokenYieldsCancelledEmptyPartial)
  * Fires its CancelSource during retireBlock() once it has seen
  * @p cancelAt blocks, then counts every block it is still shown:
  * the replay loop polls the token at block boundaries, so the count
- * after the trigger bounds the stop latency in blocks.
+ * after the trigger bounds the stop latency in blocks. Its parts
+ * (fresh()) share the one block count, so the trigger counts blocks
+ * across all workloads exactly as a single sink would.
  */
-class CancellingSink : public cpu::TraceSink
+class CancellingSink : public analysis::ProfileSink
 {
   public:
     CancellingSink(CancelSource *source, std::size_t cancelAt)
-        : source_(source), cancelAt_(cancelAt)
-    {}
+        : state_(std::make_shared<State>())
+    {
+        state_->source = source;
+        state_->cancelAt = cancelAt;
+    }
 
     void
     retire(const cpu::DynInstr &) override
@@ -667,20 +674,37 @@ class CancellingSink : public cpu::TraceSink
     void
     retireBlock(std::span<const cpu::DynInstr>) override
     {
-        ++blocks_;
-        if (blocks_ == cancelAt_)
-            source_->cancel();
-        else if (blocks_ > cancelAt_)
-            ++blocksAfterCancel_;
+        const std::size_t blocks = ++state_->blocks;
+        if (blocks == state_->cancelAt)
+            state_->source->cancel();
+        else if (blocks > state_->cancelAt)
+            ++state_->blocksAfterCancel;
     }
 
-    std::size_t blocksAfterCancel() const { return blocksAfterCancel_; }
+    std::unique_ptr<analysis::ProfileSink>
+    fresh() const override
+    {
+        return std::make_unique<CancellingSink>(*this);
+    }
+
+    void
+    merge(const analysis::ProfileSink &) override
+    {}
+
+    std::size_t blocksAfterCancel() const
+    {
+        return state_->blocksAfterCancel;
+    }
 
   private:
-    CancelSource *source_;
-    std::size_t cancelAt_;
-    std::size_t blocks_ = 0;
-    std::size_t blocksAfterCancel_ = 0;
+    struct State
+    {
+        CancelSource *source = nullptr;
+        std::size_t cancelAt = 0;
+        std::atomic<std::size_t> blocks{0};
+        std::atomic<std::size_t> blocksAfterCancel{0};
+    };
+    std::shared_ptr<State> state_;
 };
 
 TEST(SessionLifecycle, CancelMidRunStopsAtBlockBoundaryWithExactRows)
@@ -734,6 +758,69 @@ TEST(SessionLifecycle, CancelMidRunStopsAtBlockBoundaryWithExactRows)
     // started.
     EXPECT_EQ(rep.captures, 2u);
     EXPECT_EQ(rep.replayPasses, 1u);
+}
+
+TEST(SessionLifecycle, CancelledRunMergesOnlyCoveredWorkloadsIntoSinks)
+{
+    // Sinks follow the partial-report rule: after a cancel the
+    // caller's sinks hold exactly the tallies of the workloads the
+    // report covers. The aborted workload's blocks — including the
+    // one that fired the cancel — must not leak into them.
+    SessionConfig cfg;
+    cfg.captureLimit = 3000; // 3 replay blocks per workload
+    const std::vector<std::string> names = {"rawcaudio", "rawdaudio",
+                                            "epic"};
+    for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        Session session(cfg);
+        CancelSource source;
+        CancellingSink canceller(&source, /*cancelAt=*/4);
+        analysis::PatternProfiler pat;
+        analysis::InstrMixProfiler mix;
+        analysis::PcProfiler pc;
+        StudyPlan plan;
+        plan.workloads(names)
+            .cpi({Design::ByteSerial}, analysis::suiteConfig())
+            .profile({&canceller, &pat, &mix, &pc})
+            .cancel(source.token())
+            .threads(threads);
+        const SuiteReport rep = session.run(plan);
+        EXPECT_TRUE(rep.cancelled);
+        ASSERT_EQ(rep.cpi.size(), 1u);
+        const std::vector<std::string> &covered = rep.cpi[0].benchmarks;
+        if (threads == 1) {
+            EXPECT_EQ(covered, std::vector<std::string>{"rawcaudio"});
+        }
+        EXPECT_LT(covered.size(), names.size());
+
+        // Oracle: fresh captures of exactly the covered workloads,
+        // replayed straight into fresh profilers in report order.
+        analysis::PatternProfiler want_pat;
+        analysis::InstrMixProfiler want_mix;
+        analysis::PcProfiler want_pc;
+        for (const std::string &name : covered) {
+            const cpu::TraceBuffer trace = cpu::TraceBuffer::capture(
+                workloads::Suite::build(name).program,
+                cfg.captureLimit, /*allow_truncation=*/true);
+            cpu::TraceView(trace).replay(
+                std::vector<cpu::TraceSink *>{&want_pat, &want_mix,
+                                              &want_pc});
+        }
+        EXPECT_EQ(pat.patterns().raw(), want_pat.patterns().raw());
+        EXPECT_EQ(pat.meanSignificantBytes(),
+                  want_pat.meanSignificantBytes());
+        EXPECT_EQ(mix.functFreq().raw(), want_mix.functFreq().raw());
+        EXPECT_EQ(mix.total(), want_mix.total());
+        EXPECT_EQ(mix.meanFetchBytes(), want_mix.meanFetchBytes());
+        for (unsigned b = 1; b <= 8; ++b) {
+            EXPECT_EQ(pc.forBlockBits(b).updates(),
+                      want_pc.forBlockBits(b).updates());
+            EXPECT_EQ(pc.forBlockBits(b).activityBits(),
+                      want_pc.forBlockBits(b).activityBits());
+            EXPECT_EQ(pc.forBlockBits(b).cycles(),
+                      want_pc.forBlockBits(b).cycles());
+        }
+    }
 }
 
 TEST_F(SessionStoreTest, CancelledRunLeavesStoreClean)
@@ -805,8 +892,11 @@ TEST_F(SessionStoreTest, MidRunDeadlineLeavesStoreClean)
     EXPECT_EQ(ts.cleanOrphanTemps(), 0u);
 }
 
-/** Blocks inside its first retireBlock() until released. */
-class BlockingSink : public cpu::TraceSink
+/**
+ * Blocks inside its first retireBlock() until released. Its parts
+ * (fresh()) share the one latch.
+ */
+class BlockingSink : public analysis::ProfileSink
 {
   public:
     void
@@ -816,21 +906,35 @@ class BlockingSink : public cpu::TraceSink
     void
     retireBlock(std::span<const cpu::DynInstr>) override
     {
-        if (!entered_.exchange(true)) {
-            started_.set_value();
-            release_.get_future().wait();
+        if (!state_->entered.exchange(true)) {
+            state_->started.set_value();
+            state_->release.get_future().wait();
         }
     }
 
-    /** Resolves once the owning plan is replaying (slot held). */
-    void waitUntilRunning() { started_.get_future().wait(); }
+    std::unique_ptr<analysis::ProfileSink>
+    fresh() const override
+    {
+        return std::make_unique<BlockingSink>(*this);
+    }
 
-    void release() { release_.set_value(); }
+    void
+    merge(const analysis::ProfileSink &) override
+    {}
+
+    /** Resolves once the owning plan is replaying (slot held). */
+    void waitUntilRunning() { state_->started.get_future().wait(); }
+
+    void release() { state_->release.set_value(); }
 
   private:
-    std::atomic<bool> entered_{false};
-    std::promise<void> started_;
-    std::promise<void> release_;
+    struct State
+    {
+        std::atomic<bool> entered{false};
+        std::promise<void> started;
+        std::promise<void> release;
+    };
+    std::shared_ptr<State> state_ = std::make_shared<State>();
 };
 
 TEST(SessionAdmission, MemoryBudgetRejectsOversizedPlanUpFront)
